@@ -6,15 +6,14 @@ package main
 // took the full request path once before going quiet — while a small hot
 // cohort keeps doing closed-loop GETs. It reports the hot cohort's p50/p99
 // next to the server's resident bytes per connection (mem_inuse_bytes /
-// curr_connections from the stats verb), which is the number the parked
-// front end exists to shrink: idle connections should cost an epoll
-// registration, not a goroutine and two 64 KiB buffers.
+// curr_connections from the stats verb): an idle connection should cost its
+// goroutine and a small idle buffer, not two 64 KiB buffers, because the
+// server leases those only for the length of a batch.
 //
-// Runs append to -conns-json keyed by front-end mode (classic/parked, read
-// from the server's worker_count), so driving the same scenario at a
-// -workers 0 daemon and a -workers N daemon builds one comparable record;
-// once both modes are present the file carries their idle-bytes-per-conn
-// ratio and -conns-gate enforces the >= 8x reduction.
+// The run is recorded under the "leased" key of -conns-json; rows already in
+// the file (earlier front ends, other machines) are kept verbatim, so one
+// file can hold a same-session comparison. -conns-gate checks this run alone
+// against connsGateBytesPerConn.
 
 import (
 	"encoding/json"
@@ -45,31 +44,39 @@ type connsConfig struct {
 	gate     bool
 }
 
-// connsRun is one mode's measured record inside BENCH_conns.json.
+// connsGateBytesPerConn is the -conns-gate bound on resident bytes per
+// connection: 140,215 B, what an idle connection cost when it pinned its two
+// 64 KiB session buffers for life (10,033 connections, recorded in
+// BENCH_conns.json before buffers were leased per batch), divided by the
+// required 8x reduction.
+const connsGateBytesPerConn = 140215 / 8
+
+// connsRunKey is the key this scenario's run is recorded under.
+const connsRunKey = "leased"
+
+// connsRun is one measured record inside BENCH_conns.json.
 type connsRun struct {
-	Mode              string  `json:"mode"`
-	Workers           int64   `json:"workers"`
-	Connections       int64   `json:"connections"`
-	ParkedConnections int64   `json:"parked_connections"`
-	ActiveSessions    int64   `json:"active_sessions"`
-	BufferPoolBytes   int64   `json:"buffer_pool_bytes"`
-	MemInuseBytes     int64   `json:"mem_inuse_bytes"`
-	BytesPerConn      int64   `json:"bytes_per_conn"`
-	HotConns          int     `json:"hot_conns"`
-	HotOps            int64   `json:"hot_ops"`
-	HotOpsPerSec      float64 `json:"hot_ops_per_sec"`
-	HotP50Us          int64   `json:"hot_p50_us"`
-	HotP99Us          int64   `json:"hot_p99_us"`
-	FailedRequests    int64   `json:"failed_requests"`
-	RampSeconds       float64 `json:"ramp_seconds"`
+	Mode            string  `json:"mode"`
+	Connections     int64   `json:"connections"`
+	ActiveSessions  int64   `json:"active_sessions"`
+	BufferPoolBytes int64   `json:"buffer_pool_bytes"`
+	MemInuseBytes   int64   `json:"mem_inuse_bytes"`
+	BytesPerConn    int64   `json:"bytes_per_conn"`
+	HotConns        int     `json:"hot_conns"`
+	HotOps          int64   `json:"hot_ops"`
+	HotOpsPerSec    float64 `json:"hot_ops_per_sec"`
+	HotP50Us        int64   `json:"hot_p50_us"`
+	HotP99Us        int64   `json:"hot_p99_us"`
+	FailedRequests  int64   `json:"failed_requests"`
+	RampSeconds     float64 `json:"ramp_seconds"`
 }
 
+// connsReport is BENCH_conns.json. Runs stay raw so rows written by other
+// versions of this scenario survive a rewrite field for field.
 type connsReport struct {
-	Benchmark        string               `json:"benchmark"`
-	Date             string               `json:"date"`
-	Runs             map[string]*connsRun `json:"runs"`
-	IdleBytesRatio   float64              `json:"idle_bytes_per_conn_ratio,omitempty"`
-	RatioObservation string               `json:"observation,omitempty"`
+	Benchmark string                     `json:"benchmark"`
+	Date      string                     `json:"date"`
+	Runs      map[string]json.RawMessage `json:"runs"`
 }
 
 func runConns(logger *log.Logger, cfg connsConfig) {
@@ -89,12 +96,8 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 	if err != nil {
 		logger.Fatalf("stats: %v", err)
 	}
-	mode := "classic"
-	if before.WorkerCount > 0 {
-		mode = "parked"
-	}
-	logger.Printf("connscale: %s front end (%d workers), ramping %d conns at %.0f/s",
-		mode, before.WorkerCount, cfg.conns, cfg.rate)
+	logger.Printf("connscale: %d conns already open, ramping %d conns at %.0f/s",
+		before.CurrConnections, cfg.conns, cfg.rate)
 
 	// Preload the hot cohort's keyspace once so every measured GET is a hit.
 	payload := make([]byte, cfg.value)
@@ -112,8 +115,8 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 	var failed atomic.Int64
 
 	// Ramp: each idle connection proves it traversed the full request path
-	// once (a version round trip through admission and a worker), then goes
-	// silent, which is what hands it to the poller in parked mode. The
+	// once (a version round trip through admission, a buffer lease and the
+	// flush that returns it), then goes silent in its idle buffer. The
 	// absolute schedule (conn i dials at start + i/rate) keeps the offered
 	// ramp honest even when individual round trips are slow; a small dialer
 	// pool absorbs the latency.
@@ -167,8 +170,8 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 	logger.Printf("connscale: ramp done in %v (%d failed)", rampTook.Round(time.Millisecond), failed.Load())
 
 	// Steady state: the hot cohort hammers closed-loop GETs while the idle
-	// mass sits parked; their latency shows whether the event-driven front
-	// end keeps busy connections on the fast path.
+	// mass sits quiet; their latency shows whether thousands of idle
+	// goroutines slow the busy connections down.
 	var hist metrics.LatencyHistogram
 	var hotOps atomic.Int64
 	stop := make(chan struct{})
@@ -220,7 +223,7 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 	time.Sleep(measured)
 
 	// Read the server's view while everything is still connected: the idle
-	// mass parked, the hot cohort mid-flight.
+	// mass quiet, the hot cohort mid-flight.
 	after, err := ctl.StatsConns()
 	if err != nil {
 		logger.Fatalf("stats: %v", err)
@@ -229,67 +232,61 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 	wg.Wait()
 
 	run := &connsRun{
-		Mode:              mode,
-		Workers:           after.WorkerCount,
-		Connections:       after.CurrConnections,
-		ParkedConnections: after.ParkedConnections,
-		ActiveSessions:    after.ActiveSessions,
-		BufferPoolBytes:   after.BufferPoolBytes,
-		MemInuseBytes:     after.MemInuseBytes,
-		HotConns:          cfg.hot,
-		HotOps:            hotOps.Load(),
-		HotOpsPerSec:      float64(hotOps.Load()) / measured.Seconds(),
-		HotP50Us:          hist.Quantile(0.50).Microseconds(),
-		HotP99Us:          hist.Quantile(0.99).Microseconds(),
-		FailedRequests:    failed.Load(),
-		RampSeconds:       rampTook.Seconds(),
+		Mode:            connsRunKey,
+		Connections:     after.CurrConnections,
+		ActiveSessions:  after.ActiveSessions,
+		BufferPoolBytes: after.BufferPoolBytes,
+		MemInuseBytes:   after.MemInuseBytes,
+		HotConns:        cfg.hot,
+		HotOps:          hotOps.Load(),
+		HotOpsPerSec:    float64(hotOps.Load()) / measured.Seconds(),
+		HotP50Us:        hist.Quantile(0.50).Microseconds(),
+		HotP99Us:        hist.Quantile(0.99).Microseconds(),
+		FailedRequests:  failed.Load(),
+		RampSeconds:     rampTook.Seconds(),
 	}
 	if run.Connections > 0 {
 		run.BytesPerConn = run.MemInuseBytes / run.Connections
 	}
-	logger.Printf("connscale: %d conns (%d parked), %d B/conn, hot p50=%dus p99=%dus (%.0f ops/s), %d failed",
-		run.Connections, run.ParkedConnections, run.BytesPerConn,
+	logger.Printf("connscale: %d conns (%d mid-batch), %d B/conn, hot p50=%dus p99=%dus (%.0f ops/s), %d failed",
+		run.Connections, run.ActiveSessions, run.BytesPerConn,
 		run.HotP50Us, run.HotP99Us, run.HotOpsPerSec, run.FailedRequests)
 
-	report := mergeConnsReport(logger, cfg.jsonPath, run)
+	if cfg.jsonPath != "" {
+		writeConnsReport(logger, cfg.jsonPath, run)
+	}
 
 	if cfg.gate {
 		if run.FailedRequests > 0 {
 			logger.Fatalf("connscale gate: %d failed requests, want 0", run.FailedRequests)
 		}
-		classic, parked := report.Runs["classic"], report.Runs["parked"]
-		if classic == nil || parked == nil {
-			logger.Fatal("connscale gate: need both a classic and a parked run in the report")
+		if run.BytesPerConn > connsGateBytesPerConn {
+			logger.Fatalf("connscale gate: %d B/conn, want <= %d", run.BytesPerConn, connsGateBytesPerConn)
 		}
-		if report.IdleBytesRatio < 8 {
-			logger.Fatalf("connscale gate: idle bytes/conn ratio %.1fx (classic %d / parked %d), want >= 8x",
-				report.IdleBytesRatio, classic.BytesPerConn, parked.BytesPerConn)
-		}
-		logger.Printf("connscale gate: PASS (%.1fx bytes/conn reduction)", report.IdleBytesRatio)
+		logger.Printf("connscale gate: PASS (%d B/conn <= %d)", run.BytesPerConn, connsGateBytesPerConn)
 	}
 }
 
-// mergeConnsReport folds this run into the JSON report, keyed by mode, and
-// recomputes the classic/parked ratio when both halves are present.
-func mergeConnsReport(logger *log.Logger, path string, run *connsRun) *connsReport {
-	report := &connsReport{Benchmark: "connscale", Runs: map[string]*connsRun{}}
-	if path == "" {
-		report.Runs[run.Mode] = run
-		finishConnsReport(report)
-		return report
-	}
+// writeConnsReport records run in the JSON report at path under
+// connsRunKey, keeping every other row as it was.
+func writeConnsReport(logger *log.Logger, path string, run *connsRun) {
+	report := &connsReport{}
 	if raw, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(raw, report); err != nil {
 			logger.Printf("connscale: ignoring unparsable %s: %v", path, err)
-			report = &connsReport{Benchmark: "connscale", Runs: map[string]*connsRun{}}
-		}
-		if report.Runs == nil {
-			report.Runs = map[string]*connsRun{}
+			report = &connsReport{}
 		}
 	}
+	if report.Runs == nil {
+		report.Runs = map[string]json.RawMessage{}
+	}
+	row, err := json.Marshal(run)
+	if err != nil {
+		logger.Fatal(err)
+	}
+	report.Benchmark = "connscale"
 	report.Date = time.Now().UTC().Format(time.RFC3339)
-	report.Runs[run.Mode] = run
-	finishConnsReport(report)
+	report.Runs[connsRunKey] = row
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		logger.Fatal(err)
@@ -298,18 +295,4 @@ func mergeConnsReport(logger *log.Logger, path string, run *connsRun) *connsRepo
 		logger.Fatal(err)
 	}
 	logger.Printf("connscale: wrote %s", path)
-	return report
-}
-
-func finishConnsReport(report *connsReport) {
-	classic, parked := report.Runs["classic"], report.Runs["parked"]
-	if classic == nil || parked == nil || parked.BytesPerConn <= 0 {
-		return
-	}
-	report.IdleBytesRatio = float64(classic.BytesPerConn) / float64(parked.BytesPerConn)
-	report.RatioObservation = fmt.Sprintf(
-		"Idle connections cost %d B resident under goroutine-per-connection and %d B under the "+
-			"event-driven parked front end (%.1fx): parking releases the goroutine stack and both "+
-			"64 KiB session buffers, leaving an epoll registration and a ~200 B conn record.",
-		classic.BytesPerConn, parked.BytesPerConn, report.IdleBytesRatio)
 }

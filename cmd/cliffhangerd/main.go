@@ -14,7 +14,7 @@
 // A connection past -max-conns is answered "SERVER_ERROR too many
 // connections" and closed — the daemon sheds load at the accept edge rather
 // than letting the kernel backlog time clients out invisibly. -idle-timeout
-// reaps connections parked between commands (including half-closed sockets
+// reaps connections idle between commands (including half-closed sockets
 // whose FIN never arrived); -read-timeout bounds delivery of a single
 // command once its first byte arrives, so a slow-loris client dribbling a
 // storage payload tears only its own connection; -write-timeout unwedges
@@ -49,22 +49,20 @@
 // target_bytes, marginal_hit_per_byte, arbiter_moves), in client.StatsArbiter,
 // and on each -stats-json line.
 //
-// Pass -workers to switch the front end from goroutine-per-connection to
-// the event-driven parked model: a fixed worker pool serves whichever
-// connections have bytes pending while every idle connection is parked on an
-// epoll registration — no goroutine, no buffers — until its next request
-// arrives. -conn-buffers bounds the pool of 64 KiB session buffer pairs the
-// workers lease (default = -workers), so resident memory is O(active
-// sessions) rather than O(connections) and a box can hold hundreds of
-// thousands of mostly-idle connections:
+// Each connection is served by its own goroutine, and an idle one costs
+// little more than that goroutine: between requests it waits in a 512 B
+// buffer of its own. When a request arrives, the connection leases a pair of
+// 64 KiB buffers, the parser and the response scratch from a shared pool,
+// and returns them once the batch is answered and flushed. Resident memory
+// therefore grows with the batches in flight, not with the connections held
+// open, and a box can hold tens of thousands of mostly-idle connections:
 //
-//	cliffhangerd -addr :11211 -max-conns 200000 -workers 64 -conn-buffers 64
+//	cliffhangerd -addr :11211 -max-conns 200000
 //
 // The front end's live state is visible in stats (and on each -stats-json
-// tick) as parked_connections, active_sessions, buffer_pool_bytes and
-// worker_count. Idle reaping, read/write deadlines and drain semantics are
-// identical in both modes; with -workers 0 (the default) the classic
-// goroutine-per-connection front end is used.
+// tick) as active_sessions (connections mid-batch, holding a lease) and
+// buffer_pool_bytes (the bytes of leased and pooled buffer pairs), next to
+// curr_connections and mem_inuse_bytes.
 //
 // Pass -pprof-addr to expose the net/http/pprof profiling endpoints on a
 // side HTTP listener, e.g.:
@@ -114,8 +112,6 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "", "HTTP listen address for net/http/pprof profiling endpoints (empty disables)")
 
 		maxConns     = flag.Int("max-conns", 1024, "max simultaneous connections; extras are shed with SERVER_ERROR (0 = unlimited)")
-		workers      = flag.Int("workers", 0, "serve with this many event-driven workers, parking idle connections off goroutines (0 = classic goroutine per connection)")
-		connBuffers  = flag.Int("conn-buffers", 0, "bound on pooled 64 KiB session buffer pairs for -workers mode (0 = same as -workers)")
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "close connections idle between commands for this long (0 disables)")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "max time to deliver one command once its first byte arrives; tears slow-loris clients (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-write deadline toward the client; unwedges stuck-reader peers (0 disables)")
@@ -162,18 +158,11 @@ func main() {
 		IdleTimeout:   *idleTimeout,
 		ReadTimeout:   *readTimeout,
 		WriteTimeout:  *writeTimeout,
-		Workers:       *workers,
-		ConnBuffers:   *connBuffers,
 	}, st)
 	if err := srv.Start(); err != nil {
 		logger.Fatal(err)
 	}
-	if *workers > 0 {
-		logger.Printf("listening on %s (max-conns %d, idle-timeout %v, %d event-driven workers)",
-			srv.Addr(), *maxConns, *idleTimeout, *workers)
-	} else {
-		logger.Printf("listening on %s (max-conns %d, idle-timeout %v)", srv.Addr(), *maxConns, *idleTimeout)
-	}
+	logger.Printf("listening on %s (max-conns %d, idle-timeout %v)", srv.Addr(), *maxConns, *idleTimeout)
 
 	if *pprofAddr != "" {
 		go func() {
@@ -260,14 +249,11 @@ type statsTick struct {
 	SetP99Us  int64     `json:"set_p99_us"`
 	Pool      poolStats `json:"page_pool"`
 	// The connection front end per tick: how many connections exist, how
-	// many are parked off goroutines versus actively holding a session, the
-	// bytes resident in the bounded session-buffer pool, and the worker
-	// count (zero in classic goroutine-per-connection mode).
-	CurrConnections   int64 `json:"curr_connections"`
-	ParkedConnections int64 `json:"parked_connections"`
-	ActiveSessions    int64 `json:"active_sessions"`
-	BufferPoolBytes   int64 `json:"buffer_pool_bytes"`
-	WorkerCount       int64 `json:"worker_count"`
+	// many are mid-batch holding a leased buffer pair, and the bytes of the
+	// buffer pairs that exist.
+	CurrConnections int64 `json:"curr_connections"`
+	ActiveSessions  int64 `json:"active_sessions"`
+	BufferPoolBytes int64 `json:"buffer_pool_bytes"`
 	// ArbiterMoves/ArbiterLastMove expose the memshare arbiter's cumulative
 	// decision count and most recent transfer (zero/empty outside memshare
 	// mode), so a stats-json trail shows when memory moved between tenants.
@@ -309,18 +295,16 @@ func logStats(logger *log.Logger, srv *server.Server, st *store.Store, interval 
 		as := st.ArbiterStats()
 		cs := srv.ConnStats()
 		tick := statsTick{
-			TS:                time.Now().UTC().Format(time.RFC3339Nano),
-			OpsPerSec:         srv.Ops.Rate(),
-			GetP99Us:          srv.GetLatency.Quantile(0.99).Microseconds(),
-			SetP99Us:          srv.SetLatency.Quantile(0.99).Microseconds(),
-			Pool:              poolStats{TotalPages: ps.TotalPages, FreePages: ps.FreePages},
-			ArbiterMoves:      as.Moves,
-			ArbiterLastMove:   as.LastMove,
-			CurrConnections:   cs.CurrConnections,
-			ParkedConnections: cs.ParkedConnections,
-			ActiveSessions:    cs.ActiveSessions,
-			BufferPoolBytes:   cs.BufferPoolBytes,
-			WorkerCount:       cs.WorkerCount,
+			TS:              time.Now().UTC().Format(time.RFC3339Nano),
+			OpsPerSec:       srv.Ops.Rate(),
+			GetP99Us:        srv.GetLatency.Quantile(0.99).Microseconds(),
+			SetP99Us:        srv.SetLatency.Quantile(0.99).Microseconds(),
+			Pool:            poolStats{TotalPages: ps.TotalPages, FreePages: ps.FreePages},
+			ArbiterMoves:    as.Moves,
+			ArbiterLastMove: as.LastMove,
+			CurrConnections: cs.CurrConnections,
+			ActiveSessions:  cs.ActiveSessions,
+			BufferPoolBytes: cs.BufferPoolBytes,
 		}
 		for _, name := range st.Tenants() {
 			s, err := st.Stats(name)

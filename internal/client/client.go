@@ -891,10 +891,9 @@ func (c *Client) StatsArbiter() (*ArbiterStats, error) {
 }
 
 // ConnStats is the connection-front-end slice of the general "stats"
-// response, parsed into integers: the classic connection counters plus the
-// event-driven front end's gauges (how many connections are parked off
-// goroutines, how many workers are busy in a session, how many bytes the
-// bounded session-buffer pool holds, and the worker count). MemInuseBytes is
+// response, parsed into integers: the connection counters plus the front
+// end's buffer gauges (how many connections are mid-batch holding a leased
+// buffer pair, and how many bytes of buffer pairs exist). MemInuseBytes is
 // the server's heap+stack in-use total, the numerator of the bytes-per-
 // connection figure the conns benchmark reports.
 type ConnStats struct {
@@ -903,16 +902,14 @@ type ConnStats struct {
 	RejectedConnections int64
 	ConnTimeouts        int64
 	ConnPanics          int64
-	ParkedConnections   int64
 	ActiveSessions      int64
 	BufferPoolBytes     int64
-	WorkerCount         int64
 	MemInuseBytes       int64
 }
 
 // StatsConns fetches "stats" and parses the connection and front-end
 // counters. Polling it is how an operator (or the conns benchmark) watches
-// per-connection memory and park/wake behaviour live.
+// per-connection memory and buffer leasing live.
 func (c *Client) StatsConns() (*ConnStats, error) {
 	raw, err := c.statsCmd("stats")
 	if err != nil {
@@ -925,10 +922,8 @@ func (c *Client) StatsConns() (*ConnStats, error) {
 		"rejected_connections": &out.RejectedConnections,
 		"conn_timeouts":        &out.ConnTimeouts,
 		"conn_panics":          &out.ConnPanics,
-		"parked_connections":   &out.ParkedConnections,
 		"active_sessions":      &out.ActiveSessions,
 		"buffer_pool_bytes":    &out.BufferPoolBytes,
-		"worker_count":         &out.WorkerCount,
 		"mem_inuse_bytes":      &out.MemInuseBytes,
 	} {
 		v, ok := raw[key]

@@ -7,20 +7,27 @@
 // hitting the same hot application still proceed in parallel, mirroring how
 // one Cliffhanger instance serves many applications on a Memcachier server.
 //
-// The request path is allocation-free in the steady state: each connection
-// owns a session with a zero-copy protocol.Parser (one reusable Command, keys
-// as []byte), a response scratch buffer that VALUE headers and numeric
-// replies are assembled into with strconv.Append*, and GET responses are
-// streamed one VALUE block at a time as keys are looked up (no []Value
-// buffering). Keys cross into the store as []byte via the byte-key entry
-// points (GetItemView, SetItemBytes, AppendBytes/PrependBytes). Value bytes
-// live in the store's recycled slab-arena chunks and are streamed zero-copy:
-// a GET pins the arena epoch (store.GetItemView) and writes the borrowed
-// chunk view straight into the connection writer before releasing the pin —
-// epoch-based quarantine guarantees the chunk cannot be recycled while the
-// view is live — and a SET copies the parse buffer into a recycled chunk, so
-// the only steady-state allocation anywhere on the path is the interned key
-// string of a first-time SET. The TestAllocGate tests pin this with
+// An idle connection holds only its goroutine and a 512 B idle buffer: the
+// session waits for the next command by reading into that buffer, then leases
+// its mid-batch state from a pool — two 64 KiB bufio buffers, a zero-copy
+// protocol.Parser (one reusable Command, keys as []byte) and a response
+// scratch buffer that VALUE headers and numeric replies are assembled into
+// with strconv.Append* — and returns it at the batch-boundary flush. So
+// front-end memory grows with the batches in flight, not with the
+// connections held open.
+//
+// The request path is allocation-free in the steady state: leases are
+// recycled, and GET responses are streamed one VALUE block at a time as keys
+// are looked up (no []Value buffering). Keys cross into the store as []byte
+// via the byte-key entry points (GetItemView, SetItemBytes,
+// AppendBytes/PrependBytes). Value bytes live in the store's recycled
+// slab-arena chunks and are streamed zero-copy: a GET pins the arena epoch
+// (store.GetItemView) and writes the borrowed chunk view straight into the
+// connection writer before releasing the pin — epoch-based quarantine
+// guarantees the chunk cannot be recycled while the view is live — and a SET
+// copies the parse buffer into a recycled chunk, so the only steady-state
+// allocation anywhere on the path is the interned key string of a first-time
+// SET. The TestAllocGate tests pin this with
 // testing.AllocsPerRun.
 package server
 
@@ -32,8 +39,8 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -41,7 +48,6 @@ import (
 	"time"
 
 	"cliffhanger/internal/metrics"
-	"cliffhanger/internal/netpoll"
 	"cliffhanger/internal/protocol"
 	"cliffhanger/internal/store"
 )
@@ -66,7 +72,7 @@ type Config struct {
 	// IdleTimeout bounds how long a connection may sit between commands
 	// waiting for the first byte of the next one. An expired wait closes
 	// the connection and counts in conn_timeouts, freeing the session's
-	// goroutine and buffers. 0 disables the idle check.
+	// goroutine and idle buffer. 0 disables the idle check.
 	IdleTimeout time.Duration
 	// ReadTimeout bounds delivery of a single command once its first byte
 	// has arrived: the rest of the line and any storage data block must
@@ -79,28 +85,6 @@ type Config struct {
 	// (zero-window peer) cannot pin a session goroutine and its buffered
 	// responses forever. 0 disables it.
 	WriteTimeout time.Duration
-
-	// Workers > 0 enables the event-driven front end: that many worker
-	// goroutines serve ready connections, and a connection with no pending
-	// bytes is parked — registered with an epoll-backed poller while its
-	// goroutine and 64 KiB session buffers return to their pools — so
-	// front-end memory is O(active connections) instead of O(connections).
-	// 0 keeps the classic goroutine-per-connection model.
-	Workers int
-	// ConnBuffers caps how many sessions (two 64 KiB bufio buffers each)
-	// the parked front end may materialize; workers block for a free
-	// session past the cap. 0 defaults to Workers. Ignored in classic mode.
-	ConnBuffers int
-	// ParkLinger is how long a worker waits at an empty batch boundary for
-	// the next command before parking the connection (parked mode only).
-	// 0 picks a default tuned to keep closed-loop pipelining on the
-	// blocking fast path (~200µs).
-	ParkLinger time.Duration
-
-	// now is the clock the park reaper compares idle deadlines against;
-	// tests stub it to age parked connections without sleeping. nil means
-	// time.Now.
-	now func() time.Time
 }
 
 // Server serves the memcached-style protocol over TCP.
@@ -128,13 +112,12 @@ type Server struct {
 	timeouts atomic.Int64
 	panics   atomic.Int64
 
-	// Event-driven front end (nil when cfg.Workers == 0). parked and
-	// activeSessions are gauges; parks counts lifetime park transitions
-	// (tests assert park/wake cycling actually happened).
-	pr             *parkedRuntime
-	parked         atomic.Int64
-	activeSessions atomic.Int64
-	parks          atomic.Int64
+	// bufs pools the batch buffer pairs sessions lease per batch. leased
+	// counts the pairs currently leased and pairs the pairs that exist
+	// (leased, pooled, or dropped by the pool but not yet collected).
+	bufs   sync.Pool
+	leased atomic.Int64
+	pairs  atomic.Int64
 
 	// testHookCommand, when set by a test, runs after dispatch accounting
 	// for every command. It exists so the per-connection panic recovery can
@@ -162,36 +145,25 @@ type ConnStats struct {
 	// ConnPanics counts sessions torn down by the per-connection panic
 	// recovery (each one would previously have killed the daemon).
 	ConnPanics int64
-	// ParkedConnections is the number of connections currently parked on
-	// the poller (no goroutine, no session buffers). Always 0 in classic
-	// goroutine-per-connection mode.
-	ParkedConnections int64
-	// ActiveSessions is the number of sessions currently leased to workers
-	// serving a connection.
+	// ActiveSessions is the number of connections holding a leased batch
+	// buffer pair, i.e. mid-batch. Idle connections hold none.
 	ActiveSessions int64
-	// BufferPoolBytes is the session pool's buffer footprint (sessions
-	// materialized × two 64 KiB bufio buffers).
+	// BufferPoolBytes is the buffer footprint of the batch buffer pairs that
+	// exist, leased or pooled (pairs × two 64 KiB bufio buffers).
 	BufferPoolBytes int64
-	// WorkerCount is the configured worker-pool size (0 in classic mode).
-	WorkerCount int64
 }
 
 // ConnStats returns the governor's counter snapshot.
 func (s *Server) ConnStats() ConnStats {
-	cs := ConnStats{
+	return ConnStats{
 		CurrConnections:     s.curr.Load(),
 		TotalConnections:    s.total.Load(),
 		RejectedConnections: s.rejected.Load(),
 		ConnTimeouts:        s.timeouts.Load(),
 		ConnPanics:          s.panics.Load(),
-		ParkedConnections:   s.parked.Load(),
-		ActiveSessions:      s.activeSessions.Load(),
+		ActiveSessions:      s.leased.Load(),
+		BufferPoolBytes:     s.pairs.Load() * 2 * sessionBufSize,
 	}
-	if s.pr != nil {
-		cs.WorkerCount = int64(s.pr.workers)
-		cs.BufferPoolBytes = s.pr.sessions.bytes()
-	}
-	return cs
 }
 
 // New creates a server for the given store.
@@ -199,7 +171,7 @@ func New(cfg Config, st *store.Store) *Server {
 	if cfg.DefaultTenant == "" {
 		cfg.DefaultTenant = "default"
 	}
-	return &Server{
+	s := &Server{
 		cfg:        cfg,
 		store:      st,
 		conns:      make(map[net.Conn]struct{}),
@@ -207,6 +179,8 @@ func New(cfg Config, st *store.Store) *Server {
 		SetLatency: &metrics.LatencyHistogram{},
 		Ops:        metrics.NewThroughput(),
 	}
+	s.bufs.New = s.newPooledBufs
+	return s
 }
 
 // Start begins listening and serving in background goroutines.
@@ -214,12 +188,6 @@ func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return err
-	}
-	if s.cfg.Workers > 0 && s.pr == nil {
-		if err := s.startParkedRuntime(); err != nil {
-			ln.Close()
-			return err
-		}
 	}
 	s.mu.Lock()
 	s.listener = ln
@@ -248,7 +216,6 @@ func (s *Server) Close() error {
 	if s.closed {
 		s.mu.Unlock()
 		s.wg.Wait()
-		s.closePoller()
 		return nil
 	}
 	s.closed = true
@@ -256,17 +223,11 @@ func (s *Server) Close() error {
 	if s.listener != nil {
 		err = s.listener.Close()
 	}
-	s.mu.Unlock()
-	// Parked connections first (they have no goroutine to notice a close),
-	// then whatever is still actively served.
-	s.stopParkedRuntime()
-	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.closePoller()
 	return err
 }
 
@@ -287,17 +248,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !alreadyClosed && s.listener != nil {
 		s.listener.Close()
 	}
-	s.mu.Unlock()
-	// Parked connections sit at a command boundary with nothing buffered in
-	// either direction — every answered batch was already flushed — so
-	// closing them IS their graceful drain. Wakes already queued are still
-	// served: workers drain the ready queue before exiting.
-	s.stopParkedRuntime()
 	// Wake sessions blocked in a read: the expired deadline surfaces as a
 	// timeout, which step() treats as the drain signal (responses already
 	// queued are flushed on the way out). Sessions mid-batch notice the
 	// drain flag at their next batch boundary instead and are not torn.
-	s.mu.Lock()
 	for c := range s.conns {
 		c.SetReadDeadline(time.Now())
 	}
@@ -320,7 +274,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.closePoller()
 	s.store.Flush()
 	if err := s.store.Close(); err != nil {
 		return err
@@ -362,12 +315,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.mu.Unlock()
 		s.total.Add(1)
 		s.curr.Add(1)
-		if s.pr != nil {
-			// Event-driven mode: no goroutine per connection — queue it
-			// for a worker, which serves it and parks it when it idles.
-			s.admitParked(conn)
-			continue
-		}
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -407,63 +354,34 @@ type governedConn struct {
 	inCommand   bool
 	cmdDeadline time.Time
 	armed       bool
-	// linger > 0 marks the parked-mode transport: a boundary read waits
-	// only this long for the next command's first byte before giving up
-	// with errLingerExpired, which means "park me", not "close me".
-	// Long-term idleness is the park reaper's job there. The wait runs on
-	// the worker's ReadWaiter against the raw fd rather than an armed read
-	// deadline, because a deadline expiry makes the net package allocate an
-	// OpError — which would put one allocation on every park and break the
-	// park/wake alloc gate.
-	linger time.Duration
-	fd     uintptr
-	waiter netpoll.ReadWaiter
+	// pending is what awaitCommand read into idleBuf and the leased reader
+	// has not yet taken; Read replays it before touching the socket.
+	pending []byte
+	idleBuf [idleBufSize]byte
 }
 
-// errLingerExpired is the cached sentinel a boundary read returns when the
-// linger window closed with no bytes pending. It satisfies net.Error (it is
-// a timeout in spirit) so generic error handling stays honest, but step
-// matches it by identity before any such handling.
-var errLingerExpired error = lingerExpiredError{}
-
-type lingerExpiredError struct{}
-
-func (lingerExpiredError) Error() string   { return "park linger expired" }
-func (lingerExpiredError) Timeout() bool   { return true }
-func (lingerExpiredError) Temporary() bool { return true }
-
-// lingerWait blocks until the socket has pending bytes (true) or the linger
-// window closes or a drain begins (false). The waiter blocks in the kernel
-// (epoll on one fd), so the scheduler reclaims this worker's P for the
-// goroutines producing those bytes — a userspace spin here would starve an
-// in-process client at GOMAXPROCS=1 and turn every batch into a full
-// park/wake round trip.
-func (g *governedConn) lingerWait() bool {
-	if g.srv != nil && (g.srv.draining.Load() || g.srv.closing.Load()) {
-		return false
+// awaitCommand blocks at a command boundary, under the idle deadline, until
+// the next command's first bytes arrive, and keeps them in the idle buffer
+// for Read to replay.
+func (g *governedConn) awaitCommand() error {
+	n, err := g.Read(g.idleBuf[:])
+	g.pending = g.idleBuf[:n]
+	if n > 0 {
+		// Serve the bytes even if err is set; the next read reports it.
+		return nil
 	}
-	if g.waiter != nil {
-		return g.waiter.Wait(g.fd, g.linger)
-	}
-	return netpoll.DataPending(g.fd)
+	return err
 }
 
 func (g *governedConn) Read(p []byte) (int, error) {
+	if len(g.pending) > 0 {
+		n := copy(p, g.pending)
+		g.pending = g.pending[n:]
+		return n, nil
+	}
 	if !g.inCommand {
-		if g.linger > 0 {
-			// Parked-mode boundary: never block in the kernel here. Either
-			// bytes are already pending (the poller woke us, or the next
-			// pipelined batch landed within the linger) and the read below
-			// returns immediately, or the connection is quiet and the
-			// caller should park it.
-			if g.armed {
-				g.Conn.SetReadDeadline(time.Time{})
-				g.armed = false
-			}
-			if !g.lingerWait() {
-				return 0, errLingerExpired
-			}
-		} else if g.idle > 0 {
+		changed := g.idle > 0 || g.armed
+		if g.idle > 0 {
 			g.Conn.SetReadDeadline(time.Now().Add(g.idle))
 			g.armed = true
 		} else if g.armed {
@@ -472,9 +390,10 @@ func (g *governedConn) Read(p []byte) (int, error) {
 		}
 		// Shutdown wakes blocked readers by expiring their deadline; if
 		// the drain began between the session's batch-boundary check and
-		// the arm above, the arm just erased the wake-up — re-expire.
-		if g.armed && g.srv != nil && g.srv.draining.Load() {
+		// the change above, the change just erased the wake-up — re-expire.
+		if changed && g.srv != nil && g.srv.draining.Load() {
 			g.Conn.SetReadDeadline(time.Now())
+			g.armed = true
 		}
 		n, err := g.Conn.Read(p)
 		if n > 0 {
@@ -502,42 +421,46 @@ func (g *governedConn) Write(p []byte) (int, error) {
 	return g.Conn.Write(p)
 }
 
-// session is the per-connection state: the buffered reader/writer, the
-// zero-copy parser with its reusable Command, the selected tenant and the
-// response scratch buffer. Value bytes are never copied into the session:
-// GET streams them from an epoch-pinned arena view. Everything a command
-// needs in the steady state is reused across commands, so the request path
-// does not allocate.
+// session is the per-connection state: the selected tenant and the governed
+// transport, plus the mid-batch state (batchBufs: buffered reader/writer,
+// zero-copy parser with its reusable Command, response scratch) that it
+// leases when a command arrives and returns at the batch-boundary flush.
+// Value bytes are never copied into the session: GET streams them from an
+// epoch-pinned arena view. Everything a command needs in the steady state is
+// reused across commands, so the request path does not allocate.
 type session struct {
 	srv    *Server
-	r      *bufio.Reader
-	w      *bufio.Writer
-	parser *protocol.Parser
 	tenant string
-	// gc is the governed transport under r and w; nil for in-memory
-	// sessions (tests). step toggles its command/idle phase. In parked
-	// mode gc is rebound per lease (bind/unbind in park.go).
-	gc      *governedConn
-	scratch []byte
-	// wantPark is step's signal to the worker's batch loop that the
-	// boundary linger expired with no data — park the connection instead
-	// of closing it.
-	wantPark bool
+	// gc is the governed transport under the leased reader and writer; nil
+	// for in-memory sessions (tests), which own their buffers outright.
+	gc *governedConn
+	// *batchBufs is the leased pair; nil between batches.
+	*batchBufs
 }
 
-// newSession builds a session over the given buffered reader and writer.
+// newSession builds an in-memory session over the given buffered reader and
+// writer, which it keeps for its whole life.
 func newSession(s *Server, r *bufio.Reader, w *bufio.Writer) *session {
 	return &session{
-		srv:    s,
-		r:      r,
-		w:      w,
-		parser: protocol.NewParser(r),
-		tenant: s.cfg.DefaultTenant,
+		srv:       s,
+		tenant:    s.cfg.DefaultTenant,
+		batchBufs: newBatchBufs(r, w),
 	}
 }
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	c := &session{
+		srv:    s,
+		tenant: s.cfg.DefaultTenant,
+		gc: &governedConn{
+			Conn:  conn,
+			srv:   s,
+			idle:  s.cfg.IdleTimeout,
+			read:  s.cfg.ReadTimeout,
+			write: s.cfg.WriteTimeout,
+		},
+	}
 	// One poisoned session must never take the daemon down: recover, count,
 	// log, and let the cleanup defer below close the connection. Other
 	// sessions and the store are untouched — the panicking goroutine held
@@ -555,19 +478,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.curr.Add(-1)
 		conn.Close()
+		// The pair is safe to pool even after a panic: lease resets both
+		// buffers and the parser resets per command.
+		c.release()
 	}()
-
-	g := &governedConn{
-		Conn:  conn,
-		srv:   s,
-		idle:  s.cfg.IdleTimeout,
-		read:  s.cfg.ReadTimeout,
-		write: s.cfg.WriteTimeout,
-	}
-	c := newSession(s,
-		bufio.NewReaderSize(g, sessionBufSize),
-		bufio.NewWriterSize(g, sessionBufSize))
-	c.gc = g
 	for c.step() {
 	}
 }
@@ -577,36 +491,39 @@ func (s *Server) serveConn(conn net.Conn) {
 // style): while more client data is already buffered, parsing continues and
 // responses queue up; the writer is flushed only once the batch is exhausted,
 // i.e. right before the next read could block. A closed-loop client (one
-// request at a time) still gets a flush per request.
+// request at a time) still gets a flush per request. The flush is also where
+// a connection returns its leased buffers, and the next step waits for the
+// following batch in the idle buffer.
 func (c *session) step() bool {
 	if c.gc != nil {
 		// Command boundary: the next conn read waits under the idle
 		// deadline until a command's first byte arrives.
 		c.gc.inCommand = false
+		if c.batchBufs == nil {
+			if err := c.gc.awaitCommand(); err != nil {
+				// The peer left or a governor deadline fired between
+				// batches — an idle connection or the shutdown wake-up.
+				// Every answered batch was flushed, so nothing is lost.
+				if netErr, ok := asNetError(err); ok && netErr.Timeout() && !c.srv.draining.Load() {
+					c.srv.timeouts.Add(1)
+				}
+				return false
+			}
+			c.lease()
+		}
 	}
 	cmd, err := c.parser.ReadCommand()
 	if err != nil {
 		if errors.Is(err, protocol.ErrQuit) || errors.Is(err, io.EOF) {
 			return false
 		}
-		if errors.Is(err, errLingerExpired) {
-			// Parked mode: the boundary linger closed with no bytes pending —
-			// the connection is quiet, the parser untouched, every response
-			// flushed. Signal the worker to park it rather than close it.
-			// (During a drain the linger aborts early instead; fall through
-			// to the timeout arm below, which flushes and closes.)
-			if !c.srv.draining.Load() {
-				c.wantPark = true
-				return false
-			}
-		}
 		netErr, isNet := asNetError(err)
 		if isNet && netErr.Timeout() {
-			// A governor deadline fired — an idle connection, a slow-loris
-			// command, or the shutdown wake-up. Nothing useful can be said
-			// to the peer (it may be gone, and the parser may be mid-
-			// command), but responses already queued for answered commands
-			// are flushed on the way out so a drain never drops them.
+			// A governor deadline fired mid-command — a slow-loris command
+			// or the shutdown wake-up. Nothing useful can be said to the
+			// peer (it may be gone, and the parser is mid-command), but
+			// responses already queued for answered commands are flushed on
+			// the way out so a drain never drops them.
 			if c.srv.draining.Load() {
 				c.w.Flush()
 			} else {
@@ -644,6 +561,7 @@ func (c *session) step() bool {
 		if c.srv.draining.Load() {
 			return false
 		}
+		c.release()
 	}
 	return true
 }
@@ -651,8 +569,8 @@ func (c *session) step() bool {
 // asNetError is errors.As(err, &netErr) with a fast path: transport errors
 // arrive from the net package unwrapped, so a direct type assertion almost
 // always suffices. The errors.As fallback (whose target escapes, costing an
-// allocation) only runs for wrapped errors, which keeps the per-park linger
-// expiry and other hot error paths allocation-free.
+// allocation) only runs for wrapped errors, which keeps idle and
+// per-command deadline expiries allocation-free.
 func asNetError(err error) (net.Error, bool) {
 	if ne, ok := err.(net.Error); ok {
 		return ne, true
@@ -925,12 +843,7 @@ func (s *Server) handleStats(c *session, cmd *protocol.Command) error {
 	// hit-rate-per-byte signal it ranks the tenant by.
 	as := s.store.ArbiterStats()
 	at := as.Tenants[c.tenant]
-	// Front-end memory accounting for the parked-connection model:
-	// heap+stack in use lets a harness compute bytes/connection directly
-	// from one stats call (mem_inuse_bytes / curr_connections).
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	order := []string{"tenant", "cmd_get", "get_hits", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits", "expired", "ops_per_sec", "curr_connections", "total_connections", "rejected_connections", "conn_timeouts", "conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "worker_count", "mem_inuse_bytes", "arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees", "page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte", "arbiter_moves"}
+	order := []string{"tenant", "cmd_get", "get_hits", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits", "expired", "ops_per_sec", "curr_connections", "total_connections", "rejected_connections", "conn_timeouts", "conn_panics", "active_sessions", "buffer_pool_bytes", "mem_inuse_bytes", "arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees", "page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte", "arbiter_moves"}
 	stats := map[string]string{
 		"tenant":                   c.tenant,
 		"curr_connections":         strconv.FormatInt(cs.CurrConnections, 10),
@@ -938,11 +851,9 @@ func (s *Server) handleStats(c *session, cmd *protocol.Command) error {
 		"rejected_connections":     strconv.FormatInt(cs.RejectedConnections, 10),
 		"conn_timeouts":            strconv.FormatInt(cs.ConnTimeouts, 10),
 		"conn_panics":              strconv.FormatInt(cs.ConnPanics, 10),
-		"parked_connections":       strconv.FormatInt(cs.ParkedConnections, 10),
 		"active_sessions":          strconv.FormatInt(cs.ActiveSessions, 10),
 		"buffer_pool_bytes":        strconv.FormatInt(cs.BufferPoolBytes, 10),
-		"worker_count":             strconv.FormatInt(cs.WorkerCount, 10),
-		"mem_inuse_bytes":          strconv.FormatUint(ms.HeapInuse+ms.StackInuse, 10),
+		"mem_inuse_bytes":          strconv.FormatUint(memInuseBytes(), 10),
 		"cmd_get":                  strconv.FormatInt(st.Requests, 10),
 		"get_hits":                 strconv.FormatInt(st.Hits, 10),
 		"get_misses":               strconv.FormatInt(st.Misses, 10),
@@ -975,6 +886,35 @@ func (s *Server) handleStats(c *session, cmd *protocol.Command) error {
 		stats[k] = fmt.Sprintf("%.4f", hr)
 	}
 	return protocol.WriteStats(c.w, stats, order)
+}
+
+// memInuseNames are the runtime/metrics classes that sum to
+// runtime.MemStats' HeapInuse+StackInuse: heap spans holding objects (the
+// objects plus the unused tails of their spans, together HeapInuse) and
+// stack spans (StackInuse).
+var memInuseNames = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/memory/classes/heap/stacks:bytes",
+}
+
+// memInuseBytes is the process's heap plus stack in use, the numerator of
+// the bytes-per-connection figure a harness derives from one stats call
+// (mem_inuse_bytes / curr_connections). Unlike runtime.ReadMemStats it does
+// not stop the world, so polling stats never pauses the request path.
+func memInuseBytes() uint64 {
+	var samples [len(memInuseNames)]rtmetrics.Sample
+	for i, name := range memInuseNames {
+		samples[i].Name = name
+	}
+	rtmetrics.Read(samples[:])
+	var sum uint64
+	for _, sample := range samples {
+		if sample.Value.Kind() == rtmetrics.KindUint64 {
+			sum += sample.Value.Uint64()
+		}
+	}
+	return sum
 }
 
 // handleStatsArbiter serves the "stats arbiter" sub-command: the

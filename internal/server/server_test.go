@@ -276,66 +276,55 @@ func TestServerConcurrentClients(t *testing.T) {
 // BenchmarkServerPipelined measures end-to-end server throughput at
 // pipeline depths 1 (closed-loop request/response) and 64 (batched): the
 // parse-ahead write path should make deep pipelines several times cheaper
-// per operation by amortizing flush syscalls across the batch. allocs/op
-// covers client and server together (they share the process here); the
-// server-side floor is pinned separately by TestAllocGateServerGet.
-// Each depth runs against both front ends: classic goroutine-per-connection
-// and the event-driven parked model, whose linger must keep a closed-loop
-// pipelined client on the blocking fast path. On GOMAXPROCS=1 the parked
-// mode still pays one kernel-blocking readability wait per batch boundary
-// (the worker's thread must hand its P to the client goroutine and win it
-// back), so expect a constant per-batch scheduler-handoff tax there; with
-// spare Ps the wait returns in microseconds and the modes converge.
+// per operation by amortizing flush syscalls across the batch. Depth 1 also
+// pays a buffer lease and return per request, depth 64 once per batch.
+// allocs/op covers client and server together (they share the process
+// here); the server-side floor is pinned separately by
+// TestAllocGateServerGet and TestAllocGateLeaseCycle.
 func BenchmarkServerPipelined(b *testing.B) {
-	modes := []struct {
-		name    string
-		workers int
-	}{{"classic", 0}, {"parked", 2}}
 	for _, depth := range []int{1, 64} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("depth=%d/%s", depth, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
-				defer st.Close()
-				if err := st.RegisterTenant("default", 64<<20); err != nil {
-					b.Fatal(err)
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+			defer st.Close()
+			if err := st.RegisterTenant("default", 64<<20); err != nil {
+				b.Fatal(err)
+			}
+			srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
+			if err := srv.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := client.Dial(srv.Addr(), 2*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			const nKeys = 1 << 12
+			keys := make([]string, nKeys)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%d", i)
+			}
+			if err := c.PipelineSet(keys, make([]byte, 128)); err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]string, depth)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += depth {
+				for j := range batch {
+					batch[j] = keys[(done+j)&(nKeys-1)]
 				}
-				srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default", Workers: mode.workers}, st)
-				if err := srv.Start(); err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Close()
-				c, err := client.Dial(srv.Addr(), 2*time.Second)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				const nKeys = 1 << 12
-				keys := make([]string, nKeys)
-				for i := range keys {
-					keys[i] = fmt.Sprintf("key-%d", i)
-				}
-				if err := c.PipelineSet(keys, make([]byte, 128)); err != nil {
-					b.Fatal(err)
-				}
-				batch := make([]string, depth)
-				b.ResetTimer()
-				for done := 0; done < b.N; done += depth {
-					for j := range batch {
-						batch[j] = keys[(done+j)&(nKeys-1)]
-					}
-					if depth == 1 {
-						if _, _, err := c.Get(batch[0]); err != nil {
-							b.Fatal(err)
-						}
-						continue
-					}
-					if _, err := c.PipelineGet(batch); err != nil {
+				if depth == 1 {
+					if _, _, err := c.Get(batch[0]); err != nil {
 						b.Fatal(err)
 					}
+					continue
 				}
-			})
-		}
+				if _, err := c.PipelineGet(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
